@@ -27,7 +27,7 @@ from repro.experiments.harness import run_sweep
 @pytest.mark.perf
 class TestSweepWallClock:
     def test_executor_sweep_wall_clock(self):
-        sweep, per_pair, serial_s, thread_s, process_s = \
+        sweep, per_pair, serial_s, thread_s, process_s, spread = \
             bench.measure_sweep(workers=bench.WORKERS)
 
         # Gating: determinism.  A pooled run must reproduce the serial
@@ -43,7 +43,8 @@ class TestSweepWallClock:
 
         payload = bench.build_payload(sweep, serial_s, thread_s, process_s,
                                       per_pair_serial_s=per_pair,
-                                      workers=bench.WORKERS)
+                                      workers=bench.WORKERS,
+                                      spread_s=spread)
         bench.BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         wall = payload["wall"]
         print(f"\nsweep wall clock ({payload['cpu_count']} cpu): "

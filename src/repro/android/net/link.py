@@ -160,12 +160,15 @@ class Link:
                               effective_mbps=effective)
 
     def _sample_busy(self, value: float) -> None:
-        """Wire-occupancy edge for the synchronous (inline) path.
+        """Wire-occupancy edge of a link that owns its wire.
 
-        Scheduled flows are sampled by the medium instead (shares and
-        active-flow counts already describe their occupancy).  The
-        owning device's name disambiguates identically-named links on
-        different device pairs within one shared world timeline.
+        Sampled around inline transfers and around flows on a private
+        medium (``medium is None``): 1.0 when the wire starts, 0.0 when
+        it finishes.  Flows on a shared medium are sampled by the medium
+        instead (shares and active-flow counts already describe their
+        occupancy).  The owning device's name disambiguates
+        identically-named links on different device pairs within one
+        shared world timeline.
         """
         if not self.timeline.enabled:
             return
@@ -416,6 +419,8 @@ class Medium:
                      fault_bytes=fault_bytes, fault_seconds=fault_seconds,
                      session=session)
         self._flows.append(flow)
+        if link.medium is None:
+            link._sample_busy(1.0)
         if len(self._flows) > 1:
             for active in self._flows:
                 active.contended = True
@@ -477,7 +482,7 @@ class Medium:
             outcomes = []
             for flow in done:
                 # An uncontended flow reports its exact solo figures so
-                # the synchronous path's floats reproduce bit-for-bit;
+                # its floats equal an inline Link.transfer's bit-for-bit;
                 # contended flows report true wall elapsed time.
                 seconds = (self.clock.now - flow.submitted_at
                            if flow.contended else flow.milestone)
@@ -499,6 +504,8 @@ class Medium:
                     self.timeline.sample("link/share", 0.0,
                                          medium=self.name,
                                          session=flow.session)
+                if flow.link.medium is None:
+                    flow.link._sample_busy(0.0)
                 if flow.fault_bytes is not None:
                     outcomes.append((flow, flow.link._deliver(
                         flow.fault_bytes, seconds, fault=True)))
@@ -515,31 +522,31 @@ class Medium:
         self._reschedule()
 
 
+def _medium_for(link: Link, clock: SimClock) -> Medium:
+    """The link's shared medium, or a private uncontended one."""
+    return link.medium or Medium(clock, name=f"solo:{link.name}")
+
+
 @dataclass(frozen=True)
 class TransferOp:
     """A whole-payload transfer, schedulable as a fair-share flow.
 
-    ``apply_sync`` is today's :meth:`Link.transfer`; ``submit`` plans
-    the same payload (same jitter draw, same fault budget math) as a
-    flow on the link's medium — or a private uncontended one.
+    ``submit`` plans the payload exactly as :meth:`Link.transfer` does
+    (same jitter draw, same fault budget math) and runs it as a flow on
+    the link's medium — or a private uncontended one.
     """
 
     link: Link
     payload_bytes: int
     session: str = ""
 
-    def apply_sync(self, clock: SimClock) -> TransferResult:
-        return self.link.transfer(self.payload_bytes, clock)
-
     def submit(self, clock: SimClock) -> Waiter:
         seconds, fault_bytes, fault_seconds = self.link._plan_transfer(
             self.payload_bytes)
-        medium = self.link.medium or Medium(clock,
-                                            name=f"solo:{self.link.name}")
-        return medium.submit(self.link, self.payload_bytes, seconds,
-                             fault_bytes=fault_bytes,
-                             fault_seconds=fault_seconds,
-                             session=self.session)
+        return _medium_for(self.link, clock).submit(
+            self.link, self.payload_bytes, seconds,
+            fault_bytes=fault_bytes, fault_seconds=fault_seconds,
+            session=self.session)
 
 
 @dataclass(frozen=True)
@@ -555,24 +562,19 @@ class RecordOp:
     seconds: float
     session: str = ""
 
-    def apply_sync(self, clock: SimClock) -> TransferResult:
-        return self.link.record_transfer(self.payload_bytes, self.seconds,
-                                         clock)
-
     def submit(self, clock: SimClock) -> Waiter:
-        medium = self.link.medium or Medium(clock,
-                                            name=f"solo:{self.link.name}")
-        return medium.submit(self.link, self.payload_bytes, self.seconds,
-                             session=self.session)
+        return _medium_for(self.link, clock).submit(
+            self.link, self.payload_bytes, self.seconds,
+            session=self.session)
 
 
 @dataclass(frozen=True)
 class FaultOp:
     """A planned partial delivery ending in a link drop.
 
-    ``apply_sync`` is :meth:`Link.trip_fault`; as a flow it occupies the
-    wire for ``seconds`` of solo work, then rejects the session's waiter
-    with the :class:`LinkDownError`.
+    The flow form of :meth:`Link.trip_fault`: it occupies the wire for
+    ``seconds`` of solo work, then rejects the session's waiter with the
+    :class:`LinkDownError`.
     """
 
     link: Link
@@ -580,16 +582,11 @@ class FaultOp:
     seconds: float
     session: str = ""
 
-    def apply_sync(self, clock: SimClock) -> None:
-        self.link.trip_fault(self.delivered_bytes, self.seconds, clock)
-
     def submit(self, clock: SimClock) -> Waiter:
-        medium = self.link.medium or Medium(clock,
-                                            name=f"solo:{self.link.name}")
-        return medium.submit(self.link, self.delivered_bytes, self.seconds,
-                             fault_bytes=self.delivered_bytes,
-                             fault_seconds=self.seconds,
-                             session=self.session)
+        return _medium_for(self.link, clock).submit(
+            self.link, self.delivered_bytes, self.seconds,
+            fault_bytes=self.delivered_bytes, fault_seconds=self.seconds,
+            session=self.session)
 
 
 #: Goodput fraction of infrastructure WiFi achieved in ad-hoc mode

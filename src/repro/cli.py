@@ -53,7 +53,7 @@ from repro.android.hardware.profiles import ALL_PROFILES, profile_by_name
 from repro.apps import TOP_APPS, app_by_title
 from repro.core.cria.errors import MigrationError
 from repro.core.extensions import FluxExtensions
-from repro.experiments.harness import format_table
+from repro.experiments.harness import _resolve_workers, format_table
 from repro.sim import SimClock, units
 from repro.sim.rng import RngFactory
 
@@ -73,6 +73,15 @@ def _parse_extensions(spec: Optional[str]) -> FluxExtensions:
                 "or 'all'")
         flags[name] = True
     return FluxExtensions(**flags)
+
+
+def _workers_arg(raw: str) -> str:
+    """``--workers`` check: a bad value exits 2 with the resolver's reason."""
+    try:
+        _resolve_workers(raw, 1)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
+    return raw
 
 
 def _boot_pair(home_name: str, guest_name: str, seed: int):
@@ -362,7 +371,6 @@ def cmd_sweep(args) -> int:
         from repro.apps.catalog import MIGRATABLE_APPS
         from repro.experiments.harness import (
             _resolve_executor,
-            _resolve_workers,
             pair_label,
             run_sweep,
             sweep_metrics_document,
@@ -812,6 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="the paper's full migration sweep")
     sweep.add_argument("--workers", default=None, metavar="N",
+                       type=_workers_arg,
                        help="run device pairs on N workers, or 'auto' "
                             "for one per core (results identical to "
                             "serial)")
@@ -960,6 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="projected queue depth that sheds a demand "
                             "under --admission shed (default 4)")
     fleet.add_argument("--workers", default=None, metavar="N",
+                       type=_workers_arg,
                        help="run sites on N workers, or 'auto' for one "
                             "per core (results identical to serial)")
     fleet.add_argument("--executor", default=None,

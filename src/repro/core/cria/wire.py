@@ -138,9 +138,44 @@ def _verify_and_split(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
         metadata = json.loads(metadata_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"metadata undecodable: {error}") from error
+    if not isinstance(metadata, dict):
+        raise WireError("metadata is not a JSON object")
     if metadata.get("version") != WIRE_VERSION:
         raise WireError(f"unsupported image version {metadata.get('version')}")
+    _check_schema(metadata)
     return metadata, body[_HEADER.size + metadata_len:]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_schema(metadata: Dict[str, Any]) -> None:
+    """Reject metadata missing a field the decoders below index.
+
+    The checksum only proves the frame arrived as sent; a sender with a
+    bug (or a hostile one) can still seal malformed metadata, which must
+    fail here as :class:`WireError`, not as a ``KeyError`` or
+    ``TypeError`` deep inside restore.
+    """
+    if not isinstance(metadata.get("package"), str):
+        raise WireError("metadata 'package' is not a string")
+    processes = metadata.get("processes")
+    if not isinstance(processes, list):
+        raise WireError("metadata 'processes' is not a list")
+    for proc in processes:
+        if not (isinstance(proc, dict) and _is_int(proc.get("virtual_pid"))
+                and isinstance(proc.get("regions"), list)):
+            raise WireError("metadata process entry needs an int "
+                            "'virtual_pid' and a list 'regions'")
+        for region in proc["regions"]:
+            if not (isinstance(region, dict)
+                    and isinstance(region.get("name"), str)
+                    and isinstance(region.get("digest"), str)
+                    and _is_int(region.get("offset"))
+                    and _is_int(region.get("length"))):
+                raise WireError("metadata region entry needs a str 'name' "
+                                "and 'digest' and int 'offset' and 'length'")
 
 
 def verify_and_decode(blob: bytes) -> Dict[str, Any]:

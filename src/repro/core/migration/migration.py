@@ -35,7 +35,7 @@ from repro.core.cria.restore import RestoreFaultPlan
 from repro.core.extensions import FluxExtensions
 from repro.core.migration.stages import MigrationContext, StagePipeline
 from repro.core.replay.engine import ReplayReport
-from repro.sim.scheduler import drive_sync
+from repro.sim.scheduler import Scheduler
 
 
 STAGES = ("preparation", "checkpoint", "transfer", "restore", "reintegration")
@@ -77,8 +77,8 @@ class MigrationReport:
     dominant_stage: Optional[str] = None
     critical_path: List[Dict[str, object]] = field(default_factory=list)
     #: Contention decomposition of the session's wall time, populated by
-    #: the scenario runner (None on the synchronous single-migration
-    #: path, where wall time == work time by construction).  Keys:
+    #: the scenario runner (None for a lone ``MigrationService.migrate``,
+    #: where wall time == work time by construction).  Keys:
     #: ``wall_s``, ``admission_queue_s``, ``resource_wait_s``,
     #: ``link_dilation_s``, ``active_s`` — the last four sum to
     #: ``wall_s`` within float tolerance.
@@ -171,11 +171,14 @@ class MigrationService:
         fault injection (tests/experiments); link faults are armed on
         the ``link`` itself via :class:`LinkFaultPlan`.
         """
-        return drive_sync(
-            self.migrate_steps(guest, package, link=link,
-                               extensions=extensions,
-                               restore_fault=restore_fault),
-            self.device.clock)
+        scheduler = Scheduler(self.device.clock)
+        session = scheduler.spawn(self.migrate_steps(
+            guest, package, link=link, extensions=extensions,
+            restore_fault=restore_fault))
+        scheduler.run()
+        if session.error is not None:
+            raise session.error
+        return session.result
 
     def migrate_steps(self, guest, package: str,
                       link: Optional[Link] = None,
@@ -186,8 +189,8 @@ class MigrationService:
         Yields the pipeline's charge points (so a
         :class:`~repro.sim.scheduler.Scheduler` can interleave several
         migrations) and returns the :class:`MigrationReport`;
-        :meth:`migrate` is exactly this generator driven inline.  Each
-        attempt gets a deterministic session label
+        :meth:`migrate` is exactly this generator on a one-session
+        scheduler.  Each attempt gets a deterministic session label
         ``<home>/<package>@<attempt>`` carried on both telemetry planes.
         """
         home = self.device

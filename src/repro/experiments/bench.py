@@ -10,9 +10,12 @@ never compares it).
 
 * ``wall`` — real wall-clock seconds for the sweep in all three
   executor modes (serial, thread pool, process pool) plus per-pair
-  serial walls.  The absolute numbers are **informational only**: wall
-  clock depends on the machine, the interpreter, and background load,
-  so it is reported but never compared against the baseline.  The one
+  serial walls: each the median of :data:`TRIALS` interleaved timed
+  runs after one discarded warm-up per mode, with the spread (max −
+  min) of those runs.  The absolute numbers are **informational
+  only**: wall clock depends on the machine, the interpreter, and
+  background load, so it is reported but never compared against the
+  baseline.  The one
   wall-derived quantity that *does* gate is ``process_speedup`` — on a
   multi-core machine (``cpu_count >= 2``) the process executor must not
   be slower than serial, or the whole point of the executor layer has
@@ -50,6 +53,13 @@ SCHEMA_VERSION = 4
 BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_sweep.json"
 WORKERS = 4
 
+#: Timed runs per executor mode.  One ~0.3 s run per mode made the
+#: process-speedup gate flaky (0.80 to 2.10 on one 2-core host: a cold
+#: pool racing a warm serial pass, plus host noise); interleaving the
+#: modes and taking medians puts every mode under the same conditions.
+#: Odd, so the median is one measured run.
+TRIALS = 3
+
 #: The pinned fleet configuration the non-gating ``fleet`` row records
 #: (matches the CI fleet smoke job and the placement ablation).
 FLEET_BENCH = {"devices": 12, "arrivals": 40, "seed": 7,
@@ -80,40 +90,62 @@ GATED_COUNTERS = (
 )
 
 
-def measure_sweep(workers: int = WORKERS
-                  ) -> Tuple[SweepResult, Dict[str, float],
-                             float, float, float]:
-    """Time the sweep in all three executor modes.
+def _serial_sweep(per_pair: Dict[str, List[float]]) -> SweepResult:
+    """One serial sweep, run pair by pair so each pair's wall is kept.
 
-    The serial pass runs pair-by-pair so each pair's own wall clock is
-    recorded (that per-pair breakdown is what tells you whether the
-    sweep is balanced enough for a pool to help); the pair outcomes are
-    then folded through :func:`merge_pair_outcomes`, the same merge the
-    pooled executors use.  Returns ``(sweep, per_pair_serial_s,
-    serial_s, thread_s, process_s)``.
+    That per-pair breakdown tells you whether the sweep is balanced
+    enough for a pool to help; the outcomes fold through
+    :func:`merge_pair_outcomes`, the same merge the pooled executors use.
     """
-    per_pair: Dict[str, float] = {}
     outcomes = []
-    start_all = time.perf_counter()
     for home_profile, guest_profile in PAPER_DEVICE_PAIRS:
         start = time.perf_counter()
         outcomes.append(run_pair(home_profile, guest_profile,
                                  MIGRATABLE_APPS, seed=0,
                                  include_failures=False))
-        label = pair_label(home_profile, guest_profile)
-        per_pair[label] = round(time.perf_counter() - start, 4)
-    serial_s = time.perf_counter() - start_all
-    sweep = merge_pair_outcomes(PAPER_DEVICE_PAIRS, MIGRATABLE_APPS,
-                                outcomes)
+        per_pair.setdefault(pair_label(home_profile, guest_profile),
+                            []).append(time.perf_counter() - start)
+    return merge_pair_outcomes(PAPER_DEVICE_PAIRS, MIGRATABLE_APPS,
+                               outcomes)
 
-    start = time.perf_counter()
-    run_sweep(use_cache=False, workers=workers, executor="thread")
-    thread_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    run_sweep(use_cache=False, workers=workers, executor="process")
-    process_s = time.perf_counter() - start
-    return sweep, per_pair, serial_s, thread_s, process_s
+def measure_sweep(workers: int = WORKERS
+                  ) -> Tuple[SweepResult, Dict[str, float],
+                             float, float, float, Dict[str, float]]:
+    """Time the sweep in all three executor modes.
+
+    Every mode first runs once untimed (first-use caches, the first
+    pool's start-up), then :data:`TRIALS` rounds each time serial,
+    thread and process back to back, so host load drift lands on every
+    mode alike.  Returns ``(sweep, per_pair_serial_s, serial_s,
+    thread_s, process_s, spread_s)``: medians over the timed runs, and
+    per mode the spread (max − min) of its runs.
+    """
+    per_pair: Dict[str, List[float]] = {}
+    modes = {
+        "serial": lambda: _serial_sweep(per_pair),
+        "thread": lambda: run_sweep(use_cache=False, workers=workers,
+                                    executor="thread"),
+        "process": lambda: run_sweep(use_cache=False, workers=workers,
+                                     executor="process"),
+    }
+    sweep = modes["serial"]()           # untimed warm-up of every mode
+    modes["thread"]()
+    modes["process"]()
+    per_pair.clear()
+    walls: Dict[str, List[float]] = {mode: [] for mode in modes}
+    for _ in range(TRIALS):
+        for mode, run in modes.items():
+            start = time.perf_counter()
+            run()
+            walls[mode].append(time.perf_counter() - start)
+    median = {mode: sorted(runs)[TRIALS // 2]
+              for mode, runs in walls.items()}
+    spread = {mode: max(runs) - min(runs) for mode, runs in walls.items()}
+    per_pair_s = {label: round(sorted(runs)[TRIALS // 2], 4)
+                  for label, runs in per_pair.items()}
+    return (sweep, per_pair_s, median["serial"], median["thread"],
+            median["process"], spread)
 
 
 def measure_fleet() -> Dict:
@@ -141,7 +173,8 @@ def build_payload(sweep: SweepResult, serial_s: float, thread_s: float,
                   process_s: float,
                   per_pair_serial_s: Optional[Dict[str, float]] = None,
                   workers: int = WORKERS,
-                  fleet_row: Optional[Dict] = None) -> Dict:
+                  fleet_row: Optional[Dict] = None,
+                  spread_s: Optional[Dict[str, float]] = None) -> Dict:
     """The schema-4 ``BENCH_sweep.json`` document for one sweep run."""
     rollup = rollup_counters(sweep.merged_metrics())
     dominant: Dict[str, int] = {}
@@ -165,6 +198,8 @@ def build_payload(sweep: SweepResult, serial_s: float, thread_s: float,
                                 if process_s else None),
             "per_pair_serial_s": dict(sorted(
                 (per_pair_serial_s or {}).items())),
+            "spread_s": {mode: round(value, 4) for mode, value
+                         in sorted((spread_s or {}).items())},
         },
         "sim": {
             "avg_total_seconds": round(sweep.average_total_seconds(), 4),
@@ -260,6 +295,12 @@ def format_report(current: Dict, baseline: Dict,
             f"(x{wall.get('process_speedup')}) "
             f"(baseline serial {base_wall.get('serial_s', '?')}s; "
             "absolute walls informational)")
+        spread = wall.get("spread_s") or {}
+        if spread:
+            lines.append(
+                f"medians of {TRIALS} interleaved runs; spread (max - min): "
+                + ", ".join(f"{mode} {value}s"
+                            for mode, value in spread.items()))
     else:
         # Bundles capture no wall clock; only the sim aggregates gate.
         lines.append("sweep wall clock: not captured (run bundle; "
@@ -368,11 +409,11 @@ def run_check(baseline_path: Optional[Path] = None, update: bool = False,
         problems = check(current, baseline, tolerance=tolerance)
         return ((1 if problems else 0),
                 format_report(current, baseline, problems))
-    sweep, per_pair, serial_s, thread_s, process_s = measure_sweep(
+    sweep, per_pair, serial_s, thread_s, process_s, spread = measure_sweep(
         workers=workers)
     current = build_payload(sweep, serial_s, thread_s, process_s,
                             per_pair_serial_s=per_pair, workers=workers,
-                            fleet_row=measure_fleet())
+                            fleet_row=measure_fleet(), spread_s=spread)
 
     if update or not path.exists():
         path.write_text(json.dumps(current, indent=2) + "\n")

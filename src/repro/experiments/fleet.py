@@ -6,8 +6,9 @@ population: ``--devices N`` surfaces (profiles cycling through
 partitioned into *sites* of ``site_size`` devices.  Each site is a
 sealed scenario world — its own virtual clock, its own shared-WiFi
 :class:`~repro.android.net.link.Medium`, its own admission resources —
-exactly the sealed-simulation shape the sweep's executor layer already
-exploits, which is what makes fleet runs shardable.
+exactly the sealed-simulation shape the executor layer
+(:func:`~repro.experiments.harness.run_sealed`) exploits, which is what
+makes fleet runs shardable.
 
 Per site, a seeded arrival process (exponential interarrivals on the
 site's own RNG stream) generates migration *demands*: at ``t``, device
@@ -30,8 +31,6 @@ runs, ``--shard`` counts, and serial vs process executors.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -47,7 +46,8 @@ from repro.core.migration.placement import (
     predict_migration_seconds,
     recorded_needs,
 )
-from repro.experiments.harness import FORWARDED_ENV, _mp_context, format_table
+from repro.experiments.harness import (_resolve_workers, format_table,
+                                       run_sealed)
 from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
@@ -362,54 +362,6 @@ def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
                             if makespan > 0 else 0.0))
 
 
-# -- executor layer ----------------------------------------------------------
-
-
-def _site_worker(spec: FleetSpec, site: Site,
-                 env: Dict[str, Optional[str]]) -> SiteOutcome:
-    """Process-pool entry point: re-apply the parent's telemetry env
-    (spawn-safe, like the sweep's ``_pair_worker``), run one site."""
-    for key, value in env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    return run_site(spec, site)
-
-
-def _resolve_workers(workers: Union[int, str, None], site_count: int) -> int:
-    if workers is None:
-        workers = 1
-    if workers == "auto":
-        workers = os.cpu_count() or 1
-    try:
-        workers = int(workers)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, max(site_count, 1)))
-
-
-def _run_sites(spec: FleetSpec, sites: Sequence[Site], workers: int,
-               executor: str,
-               start_method: Optional[str] = None) -> List[SiteOutcome]:
-    """Run sites on the chosen executor; results in given site order."""
-    if executor == "serial" or workers <= 1:
-        return [run_site(spec, site) for site in sites]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_site, spec, site) for site in sites]
-            return [f.result() for f in futures]
-    if executor != "process":
-        raise FleetError(f"unknown executor {executor!r}; choose from "
-                         f"('serial', 'thread', 'process')")
-    env = {key: os.environ.get(key) for key in FORWARDED_ENV}
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_mp_context(start_method)) as pool:
-        futures = [pool.submit(_site_worker, spec, site, env)
-                   for site in sites]
-        return [f.result() for f in futures]
-
-
 # -- merging / reporting -----------------------------------------------------
 
 
@@ -501,28 +453,27 @@ def run_fleet(spec: FleetSpec,
     if shard is not None and shard_count is not None:
         raise FleetError("pass shard=(k, n) or shard_count=n, not both")
     sites = build_sites(spec)
+    workers = _resolve_workers(1 if workers is None else workers,
+                               len(sites))
     if executor is None:
-        executor = "serial" if _resolve_workers(workers, 1) <= 1 \
-            else "process"
+        executor = "process" if workers > 1 else "serial"
+
+    def run_group(group: Sequence[Site]) -> List[SiteOutcome]:
+        return run_sealed(run_site, [(spec, site) for site in group],
+                          min(workers, len(group)), executor, start_method)
+
     if shard is not None:
         k, n = shard
         if n < 1 or not 0 <= k < n:
             raise FleetError(f"bad shard {k}/{n}: need 0 <= K < N")
         selected = [site for site in sites if site.index % n == k]
-        workers_n = _resolve_workers(workers, len(selected))
-        outcomes = _run_sites(spec, selected, workers_n, executor,
-                              start_method)
-        return merge_site_outcomes(spec, selected, outcomes)
+        return merge_site_outcomes(spec, selected, run_group(selected))
     groups = ([sites] if not shard_count else
               [[site for site in sites if site.index % shard_count == g]
                for g in range(shard_count)])
     by_index: Dict[int, SiteOutcome] = {}
     for group in groups:
-        if not group:
-            continue
-        workers_n = _resolve_workers(workers, len(group))
-        for site, outcome in zip(group, _run_sites(spec, group, workers_n,
-                                                   executor, start_method)):
+        for site, outcome in zip(group, run_group(group)):
             by_index[site.index] = outcome
     ordered = [by_index[site.index] for site in sites]
     return merge_site_outcomes(spec, sites, ordered)

@@ -12,7 +12,8 @@ import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.android.device import METRICS_ENV, Device
 from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS, DeviceProfile
@@ -213,16 +214,25 @@ def clear_sweep_cache() -> None:
 
 
 def _resolve_workers(workers: Union[int, str, None],
-                     pair_count: int) -> int:
+                     task_count: int) -> int:
+    """Worker count for ``task_count`` sealed tasks.
+
+    ``workers`` is ``"auto"`` (one per core) or an int >= 1, given as
+    an int or a digit string (CLI flags and env knobs arrive as text);
+    ``None`` reads ``FLUX_SWEEP_WORKERS``, serial when unset.  The
+    result is clamped to the task count.  Anything else raises
+    :class:`ValueError` rather than silently running serially.
+    """
     if workers is None:
-        workers = os.environ.get(SWEEP_WORKERS_ENV, "1") or "1"
+        workers = os.environ.get(SWEEP_WORKERS_ENV) or 1
     if workers == "auto":
         workers = os.cpu_count() or 1
-    try:
+    elif isinstance(workers, str) and workers.isdigit():
         workers = int(workers)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, pair_count))
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(
+            f"workers must be 'auto' or an integer >= 1, not {workers!r}")
+    return min(workers, max(task_count, 1))
 
 
 def _resolve_executor(executor: Optional[str], workers: int) -> str:
@@ -245,24 +255,23 @@ def _resolve_executor(executor: Optional[str], workers: int) -> str:
     return executor
 
 
-def _pair_worker(home_profile: DeviceProfile, guest_profile: DeviceProfile,
-                 apps: Sequence[AppSpec], seed: int, include_failures: bool,
-                 env: Dict[str, Optional[str]]) -> PairOutcome:
-    """Process-pool entry point: apply the parent's env knobs, run a pair.
+def _sealed_worker(fn: Callable, task: Tuple,
+                   env: Dict[str, Optional[str]]) -> Any:
+    """Process-pool entry point: apply the parent's env knobs, run a task.
 
     Module-level (hence picklable by reference) and spawn-safe: a
     spawned child starts with a fresh interpreter, so the telemetry
     knobs the parent resolved (``FLUX_METRICS``, ``FLUX_EVENTS``,
-    ``FLUX_EVENTS_CAP``) are re-applied here before any Device exists —
-    child simulations are byte-identical to the serial ones.
+    ``FLUX_EVENTS_CAP``, ``FLUX_TIMELINE``) are re-applied here before
+    any Device exists — child simulations are byte-identical to the
+    serial ones.
     """
     for key, value in env.items():
         if value is None:
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    return run_pair(home_profile, guest_profile, apps, seed=seed,
-                    include_failures=include_failures)
+    return fn(*task)
 
 
 def _mp_context(start_method: Optional[str]):
@@ -272,32 +281,33 @@ def _mp_context(start_method: Optional[str]):
     return multiprocessing.get_context(start_method)
 
 
-def _run_pairs(pairs: Sequence[Tuple[DeviceProfile, DeviceProfile]],
-               apps: Sequence[AppSpec], seed: int, include_failures: bool,
-               workers: int, executor: str,
-               start_method: Optional[str] = None) -> List[PairOutcome]:
-    """Run every pair on the chosen executor, results in pair order."""
+def run_sealed(fn: Callable, tasks: Sequence[Tuple], workers: int,
+               executor: str, start_method: Optional[str] = None
+               ) -> List[Any]:
+    """``fn(*task)`` for every task on the chosen executor, in task order.
+
+    The one executor layer under the sweep (one task per device pair)
+    and the fleet (one per site).  Each task must be a sealed
+    simulation — private clock, RNG and devices — so the executor and
+    completion order cannot change any result.  Under ``process``
+    everything crossing the boundary (``fn`` by reference, its
+    arguments, its outcome) pickles round-trip exactly;
+    tests/experiments/test_pickle_protocol.py pins that contract.
+    """
+    if executor not in SWEEP_EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; "
+                         f"choose from {SWEEP_EXECUTORS}")
     if executor == "serial" or workers <= 1:
-        return [run_pair(home_profile, guest_profile, apps, seed=seed,
-                         include_failures=include_failures)
-                for home_profile, guest_profile in pairs]
+        return [fn(*task) for task in tasks]
     if executor == "thread":
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_pair, home_profile, guest_profile,
-                                   apps, seed=seed,
-                                   include_failures=include_failures)
-                       for home_profile, guest_profile in pairs]
+            futures = [pool.submit(fn, *task) for task in tasks]
             return [f.result() for f in futures]
-    # process: true multi-core execution.  Everything that crosses the
-    # boundary (profiles, app specs, PairOutcome with its reports,
-    # metrics snapshots and event streams) pickles round-trip exactly —
-    # tests/experiments/test_pickle_protocol.py pins that contract.
     env = {key: os.environ.get(key) for key in FORWARDED_ENV}
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=_mp_context(start_method)) as pool:
-        futures = [pool.submit(_pair_worker, home_profile, guest_profile,
-                               apps, seed, include_failures, env)
-                   for home_profile, guest_profile in pairs]
+        futures = [pool.submit(_sealed_worker, fn, task, env)
+                   for task in tasks]
         return [f.result() for f in futures]
 
 
@@ -375,8 +385,10 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
 
     workers = _resolve_workers(workers, len(pairs))
     executor = _resolve_executor(executor, workers)
-    pair_results = _run_pairs(pairs, apps, seed, include_failures,
-                              workers, executor, start_method)
+    pair_results = run_sealed(
+        run_pair, [(home, guest, apps, seed, include_failures)
+                   for home, guest in pairs],
+        workers, executor, start_method)
     result = merge_pair_outcomes(pairs, apps, pair_results)
     if use_cache:
         _SWEEP_CACHE[key] = result

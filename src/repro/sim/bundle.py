@@ -452,7 +452,7 @@ class RunBundle:
         """Per-session wait profiles (queued/resource/dilation/active).
 
         Populated by scenario bundles; a migrate/sweep bundle (whose
-        synchronous migrations never wait) returns ``{}``.
+        one-at-a-time migrations never wait) returns ``{}``.
         """
         if not self.has("metrics.json"):
             return {}

@@ -13,14 +13,10 @@ A *session* is a generator that yields instead of advancing the shared
   operation (e.g. a link flow) that the scheduler submits and then
   waits on.
 
-Two drivers exist for the same generators:
-
-* :func:`drive_sync` replays a session inline — every charge becomes an
-  immediate ``clock.advance``, every op runs via its ``apply_sync``.
-  This is the legacy run-to-completion path and is byte-identical to
-  the pre-session code.
-* :class:`Scheduler` interleaves many sessions on clock timers so that
-  concurrent migrations contend for shared resources deterministically.
+:class:`Scheduler` is the one driver.  It interleaves many sessions on
+clock timers so that concurrent migrations contend for shared resources
+deterministically; a single migration is simply a one-session scheduler
+(:meth:`repro.core.migration.migration.MigrationService.migrate`).
 
 Determinism contract: sessions are resumed only by clock timers and
 waiter resolutions, both of which fire in deadline order with FIFO
@@ -443,50 +439,3 @@ class Scheduler:
         elapsed = self.clock.now - resumed_at
         foreign = self._nested_time - nested_before
         session.working_s += elapsed - foreign
-
-
-def drive_sync(gen: Generator, clock: SimClock) -> Any:
-    """Run a session generator to completion inline.
-
-    Charges become immediate ``clock.advance`` calls and ops run through
-    their ``apply_sync`` — exactly the pre-session synchronous code
-    path, so a single session driven this way is byte-identical to the
-    old run-to-completion implementation.  Returns the generator's
-    return value; exceptions (including op failures thrown back in)
-    propagate to the caller.
-    """
-    value: Any = None
-    error: Optional[BaseException] = None
-    while True:
-        try:
-            if error is not None:
-                err, error = error, None
-                op = gen.throw(err)
-            else:
-                op = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = None
-        if isinstance(op, (int, float)):
-            op = Charge(float(op))
-        if isinstance(op, Charge):
-            clock.advance(op.seconds)
-            continue
-        if isinstance(op, Waiter):
-            if not op.done:
-                raise SchedulerError(
-                    f"cannot wait synchronously on pending waiter "
-                    f"{op.description!r}")
-            if op.error is not None:
-                error = op.error
-            else:
-                value = op._value
-            continue
-        apply_sync = getattr(op, "apply_sync", None)
-        if apply_sync is None:
-            gen.close()
-            raise SchedulerError(f"sync driver cannot execute {op!r}")
-        try:
-            value = apply_sync(clock)
-        except BaseException as exc:
-            error = exc

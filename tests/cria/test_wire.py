@@ -169,6 +169,63 @@ class TestCorruptionDetection:
             verify_against_image(blob, image)
 
 
+def _reseal(blob, mutate):
+    """Re-frame ``blob`` with mutated metadata and a valid checksum."""
+    import hashlib
+    import struct
+    header = struct.Struct(">8sII")
+    magic, meta_len, payload_len = header.unpack_from(blob)
+    meta = json.loads(blob[header.size:header.size + meta_len])
+    meta = mutate(meta) or meta
+    raw = json.dumps(meta, separators=(",", ":")).encode()
+    body = header.pack(magic, len(raw), payload_len) + raw \
+        + blob[header.size + meta_len:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _first_process(meta):
+    return meta["processes"][0]
+
+
+def _first_region(meta):
+    return meta["processes"][0]["regions"][0]
+
+
+#: Structure-aware metadata mutations; each frame is re-sealed, so only
+#: the schema check can catch it.
+MALFORMED_METADATA = {
+    "no package": lambda m: m.pop("package"),
+    "no processes": lambda m: m.pop("processes"),
+    "processes not a list": lambda m: m.update(processes={"0": {}}),
+    "process not a dict": lambda m: m.update(processes=[7]),
+    "no virtual_pid": lambda m: _first_process(m).pop("virtual_pid"),
+    "str virtual_pid": lambda m: _first_process(m).update(virtual_pid="7"),
+    "regions not a list": lambda m: _first_process(m).update(regions="r"),
+    "region not a dict": lambda m: _first_process(m).update(regions=[1]),
+    "no region name": lambda m: _first_region(m).pop("name"),
+    "no region digest": lambda m: _first_region(m).pop("digest"),
+    "str offset": lambda m: _first_region(m).update(offset="0"),
+    "bool length": lambda m: _first_region(m).update(length=True),
+    "metadata not an object": lambda m: [m],
+}
+
+
+class TestMalformedMetadata:
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_METADATA))
+    def test_every_decoder_raises_wire_error(self, image, mutation):
+        blob = _reseal(serialize_image(image), MALFORMED_METADATA[mutation])
+        with pytest.raises(WireError):
+            verify_and_decode(blob)
+        with pytest.raises(WireError):
+            region_payloads(blob)
+        with pytest.raises(WireError):
+            verify_against_image(blob, image)
+
+    def test_unmutated_reseal_still_verifies(self, image):
+        blob = _reseal(serialize_image(image), lambda m: None)
+        verify_against_image(blob, image)
+
+
 class TestMigrationUsesWire:
     def test_migration_still_green_with_verification(self, device_pair):
         home, guest = device_pair

@@ -79,6 +79,11 @@ class TestExecutorSelection:
         expected = min(os.cpu_count() or 1, 4)
         assert _resolve_workers("auto", 4) == expected
 
+    @pytest.mark.parametrize("bad", ["abc", 0, -3, "0", "-3", 2.5])
+    def test_bad_workers_raise(self, bad):
+        with pytest.raises(ValueError, match="'auto' or an integer >= 1"):
+            _resolve_workers(bad, 4)
+
     def test_explicit_arg_beats_env(self, monkeypatch):
         monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
         assert _resolve_executor("process", workers=2) == "process"
@@ -109,20 +114,21 @@ class TestEnvForwarding:
         assert "FLUX_EVENTS_CAP" in harness.FORWARDED_ENV
         assert "FLUX_TIMELINE" in harness.FORWARDED_ENV
 
-    def test_pair_worker_applies_env(self, monkeypatch):
+    def test_sealed_worker_applies_env(self, monkeypatch):
         monkeypatch.setenv("FLUX_EVENTS", "stale")
         home, guest = PAIRS[0]
-        outcome = harness._pair_worker(
-            home, guest, [APPS[0]], 0, False,
+        outcome = harness._sealed_worker(
+            harness.run_pair, (home, guest, [APPS[0]], 0, False),
             {"FLUX_EVENTS": "0"})
         assert os.environ["FLUX_EVENTS"] == "0"
         assert outcome.events == []     # knob took effect pre-simulation
 
-    def test_pair_worker_unsets_absent_env(self, monkeypatch):
+    def test_sealed_worker_unsets_absent_env(self, monkeypatch):
         monkeypatch.setenv("FLUX_EVENTS", "0")
         home, guest = PAIRS[0]
-        outcome = harness._pair_worker(
-            home, guest, [APPS[0]], 0, False, {"FLUX_EVENTS": None})
+        outcome = harness._sealed_worker(
+            harness.run_pair, (home, guest, [APPS[0]], 0, False),
+            {"FLUX_EVENTS": None})
         assert "FLUX_EVENTS" not in os.environ
         assert outcome.events            # default: events on
 

@@ -79,10 +79,15 @@ class TestParallelSweep:
             assert report.total_seconds == other.total_seconds, key
         assert serial.refusals.keys() == parallel.refusals.keys()
 
-    def test_workers_clamped_to_pair_count(self):
-        from repro.experiments.harness import _resolve_workers
+    def test_workers_clamped_to_pair_count(self, monkeypatch):
+        from repro.experiments.harness import (
+            SWEEP_WORKERS_ENV,
+            _resolve_workers,
+        )
+        monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
         assert _resolve_workers(16, 4) == 4
-        assert _resolve_workers(0, 4) == 1
+        with pytest.raises(ValueError, match="integer >= 1"):
+            _resolve_workers(0, 4)
         assert _resolve_workers(None, 4) == 1   # env unset -> serial
 
     def test_env_knob_sets_default(self, monkeypatch):
@@ -93,7 +98,8 @@ class TestParallelSweep:
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "3")
         assert _resolve_workers(None, 4) == 3
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "not-a-number")
-        assert _resolve_workers(None, 4) == 1
+        with pytest.raises(ValueError, match="not-a-number"):
+            _resolve_workers(None, 4)
         apps = [app_by_title("ZEDGE")]
         pairs = [(NEXUS_4, NEXUS_7_2013)]
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "2")

@@ -46,7 +46,7 @@ class TestByteIdentity:
     def test_single_pair_scenario_matches_run_pair_exactly(self):
         """The whole acceptance contract: reports, metrics snapshots and
         event streams from a queued scenario are byte-identical to the
-        legacy synchronous ``run_pair`` on the same profiles and seed."""
+        sweep's ``run_pair`` on the same profiles and seed."""
         pair = run_pair(HOME_P, GUEST_P, APPS, seed=0)
         # Tiny staggered starts pin the canonical order to catalog
         # order; same-pair sessions queue, so they run back to back
@@ -61,7 +61,7 @@ class TestByteIdentity:
         assert json.dumps(scenario.metrics, sort_keys=True) == \
             json.dumps(pair.metrics, sort_keys=True)
         # Admission events live on the world-level recorder, leaving the
-        # per-device streams byte-identical to the synchronous pair run.
+        # per-device streams byte-identical to the pair run.
         device_events = [e for e in scenario.events
                          if e["device"] != "world"]
         assert json.dumps(device_events, sort_keys=True) == \

@@ -10,8 +10,11 @@ a retry cheaper than the first attempt.
 import pytest
 
 from repro.android.app.activity import ActivityState
+from repro.android.device import Device
+from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.android.app.notification import Notification
 from repro.android.net.link import LinkFaultPlan, link_between
+from repro.apps import MIGRATABLE_APPS
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.cria.restore import RestoreFaultPlan
 from repro.core.extensions import FluxExtensions
@@ -22,7 +25,9 @@ from repro.core.migration.stages import (
     StagePipeline,
     default_stages,
 )
-from repro.sim import units
+from repro.sim import SimClock, units
+from repro.sim.rng import RngFactory
+from repro.sim.scheduler import Charge, Scheduler
 from tests.conftest import DEMO_PACKAGE, launch_demo
 
 
@@ -187,8 +192,9 @@ class TestRestoreFaultRollback:
 class _Boom(Stage):
     name = "boom"
 
-    def run(self, ctx):
+    def steps(self, ctx):
         raise RuntimeError("kaboom")
+        yield
 
 
 class _Flaky(Stage):
@@ -197,12 +203,22 @@ class _Flaky(Stage):
     def __init__(self):
         self.rolled_back = False
 
-    def run(self, ctx):
-        pass
+    def steps(self, ctx):
+        yield Charge(0.0)
 
     def rollback(self, ctx):
         self.rolled_back = True
         raise ValueError("compensation bug")
+
+
+def _drive(steps, clock):
+    """Run ``steps`` as a one-session scheduler; re-raise its error."""
+    scheduler = Scheduler(clock)
+    session = scheduler.spawn(steps)
+    scheduler.run()
+    if session.error is not None:
+        raise session.error
+    return session.result
 
 
 class TestPipelineMechanics:
@@ -221,7 +237,7 @@ class TestPipelineMechanics:
         home, ctx = self._context(device_pair)
         flaky = _Flaky()
         with pytest.raises(RuntimeError, match="kaboom"):
-            StagePipeline([flaky, _Boom()]).run(ctx)
+            _drive(StagePipeline([flaky, _Boom()]).steps(ctx), home.clock)
         assert flaky.rolled_back
         errors = home.tracer.events("migration", "rollback-error")
         assert len(errors) == 1 and errors[0].detail["stage"] == "flaky"
@@ -234,14 +250,15 @@ class TestPipelineMechanics:
         def witness(name):
             stage = Stage()
             stage.name = name
-            stage.run = lambda c: None
+            stage.steps = lambda c: iter(())
             stage.rollback = lambda c: order.append(name)
             return stage
 
         boom = _Boom()
         boom.rollback = lambda c: order.append("boom")
+        pipeline = StagePipeline([witness("a"), witness("b"), boom])
         with pytest.raises(RuntimeError):
-            StagePipeline([witness("a"), witness("b"), boom]).run(ctx)
+            _drive(pipeline.steps(ctx), ctx.home.clock)
         assert order == ["boom", "b", "a"]
 
     def test_faulted_stage_still_timed(self, device_pair):
@@ -250,11 +267,86 @@ class TestPipelineMechanics:
         slow = Stage()
         slow.name = "slow"
 
-        def run(c):
-            home.clock.advance(2.5)
+        def steps(c):
+            yield Charge(2.5)
             raise RuntimeError("late fault")
 
-        slow.run = run
+        slow.steps = steps
         with pytest.raises(RuntimeError):
-            StagePipeline([slow]).run(ctx)
+            _drive(StagePipeline([slow]).steps(ctx), home.clock)
         assert ctx.report.stages["slow"] == pytest.approx(2.5)
+
+
+class InjectedFault(Exception):
+    """Thrown into a migration in place of one of its yields."""
+
+
+def _faulting(steps, fault_at, yields):
+    """Drive ``steps`` like ``yield from``, appending every op it yields
+    to ``yields``; yield number ``fault_at`` is answered by throwing
+    :class:`InjectedFault` into ``steps`` instead of being run."""
+    value = None
+    while True:
+        try:
+            op = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        yields.append(op)
+        if len(yields) - 1 == fault_at:
+            steps.throw(InjectedFault(f"yield {fault_at}"))
+            raise AssertionError("the migration swallowed the fault")
+        value = yield op
+
+
+#: The stage each yield point of a healthy migration belongs to.
+YIELD_STAGES = {
+    "serial": ["preparation", "checkpoint", "transfer", "restore",
+               "reintegration"],
+    "pipelined": ["preparation", "checkpoint", "transfer", "transfer",
+                  "restore", "reintegration"],
+}
+MODES = {"serial": FluxExtensions.none(), "pipelined": PIPELINED}
+
+
+@pytest.fixture(scope="module", params=sorted(MODES))
+def booted_pair(request):
+    """One booted, paired home/guest per transfer mode, every app
+    installed — shared by all apps so the sweep over yields stays fast."""
+    clock = SimClock()
+    factory = RngFactory(3)
+    home = Device(NEXUS_4, clock, factory, name="home")
+    guest = Device(NEXUS_7_2013, clock, factory, name="guest")
+    for spec in MIGRATABLE_APPS:
+        spec.install(home)
+    home.pairing_service.pair(guest)
+    return request.param, home, guest
+
+
+class TestAtomicityAtEveryYield:
+    @pytest.mark.parametrize("spec", MIGRATABLE_APPS,
+                             ids=lambda spec: spec.title)
+    def test_fault_at_any_yield_rolls_back(self, booted_pair, spec):
+        mode, home, guest = booted_pair
+        service, package = home.migration_service, spec.package
+        spec.install_and_launch(home)
+
+        def drive(fault_at, yields):
+            steps = service.migrate_steps(guest, package,
+                                          extensions=MODES[mode])
+            return _drive(_faulting(steps, fault_at, yields), home.clock)
+
+        for k, stage in enumerate(YIELD_STAGES[mode]):
+            with pytest.raises(InjectedFault):
+                drive(k, [])
+            assert service.history[-1].faulted_stage == stage
+            assert package in home.running_packages()
+            assert home.app_processes(package)
+            assert all(proc.state.value != "frozen"
+                       for proc in home.app_processes(package))
+            assert guest.app_processes(package) == []
+            assert package not in guest.running_packages()
+
+        yields = []
+        assert drive(None, yields).success
+        assert len(yields) == len(YIELD_STAGES[mode])
+        assert package in guest.running_packages()

@@ -14,6 +14,7 @@ from repro.android.net.link import (
 from repro.sim import SimClock, units
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Scheduler
+from repro.sim.timeline import Timeline
 
 
 def _link(seed=0, name="wifi"):
@@ -107,6 +108,25 @@ class TestSingleFlow:
         assert handle.result.payload_bytes == sync_result.payload_bytes
         assert clock.now == sync_clock.now
         assert flow_link.bytes_transferred == sync_link.bytes_transferred
+
+    def test_private_medium_samples_busy_edges_like_transfer(self):
+        # A link with no shared medium owns its wire: a flow on its
+        # private medium records the same link/busy edges an inline
+        # Link.transfer does (a lone migration's timeline depends on it).
+        sync_clock, clock = SimClock(), SimClock()
+        sync_link, flow_link = _link(), _link()
+        sync_link.timeline = Timeline(sync_clock)
+        flow_link.timeline = Timeline(clock)
+        sync_link.transfer(units.mb(4), sync_clock)
+
+        def session():
+            yield TransferOp(flow_link, units.mb(4))
+
+        scheduler = Scheduler(clock)
+        scheduler.spawn(session())
+        scheduler.run()
+        assert flow_link.timeline.export() == sync_link.timeline.export()
+        assert list(flow_link.timeline.export()) == ["link/busy{link=wifi}"]
 
     def test_record_op_matches_record_transfer(self):
         sync_link = _link()

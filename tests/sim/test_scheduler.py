@@ -1,4 +1,4 @@
-"""Cooperative sessions: Charge/Waiter/Resource, both drivers."""
+"""Cooperative sessions: Charge/Waiter/Resource and the Scheduler."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.sim.scheduler import (
     SchedulerError,
     Session,
     Waiter,
-    drive_sync,
 )
 
 
@@ -92,57 +91,6 @@ class TestResource:
     def test_release_unheld_rejected(self):
         with pytest.raises(SchedulerError):
             Resource("dev").release()
-
-
-class TestDriveSync:
-    def test_charges_advance_the_clock_inline(self):
-        clock = SimClock()
-
-        def session():
-            yield Charge(1.5)
-            yield 0.5  # bare floats coerce to charges
-            return clock.now
-
-        assert drive_sync(session(), clock) == 2.0
-        assert clock.now == 2.0
-
-    def test_resolved_waiter_value_is_sent_in(self):
-        clock = SimClock()
-        waiter = Waiter("w")
-        waiter.resolve("token")
-
-        def session():
-            got = yield waiter
-            return got
-
-        assert drive_sync(session(), clock) == "token"
-
-    def test_pending_waiter_rejected(self):
-        def session():
-            yield Waiter("never")
-
-        with pytest.raises(SchedulerError):
-            drive_sync(session(), SimClock())
-
-    def test_op_failures_are_thrown_back_in(self):
-        class FailingOp:
-            def apply_sync(self, clock):
-                raise ValueError("op died")
-
-        def session():
-            try:
-                yield FailingOp()
-            except ValueError:
-                return "caught"
-
-        assert drive_sync(session(), SimClock()) == "caught"
-
-    def test_unknown_yield_rejected(self):
-        def session():
-            yield object()
-
-        with pytest.raises(SchedulerError):
-            drive_sync(session(), SimClock())
 
 
 class TestScheduler:
@@ -261,21 +209,35 @@ class TestScheduler:
         scheduler.run()
         assert handle.result == "caught"
 
-    def test_same_generator_runs_identically_under_both_drivers(self):
-        def session(clock):
-            yield Charge(1.0)
-            yield 2.0
-            return clock.now
+    def test_op_failures_are_thrown_back_in(self):
+        class FailingOp:
+            def submit(self, clock):
+                waiter = Waiter("op")
+                clock.call_after(1.0, lambda: waiter.reject(
+                    ValueError("op died")))
+                return waiter
 
-        sync_clock = SimClock()
-        sync_result = drive_sync(session(sync_clock), sync_clock)
+        def session():
+            try:
+                yield FailingOp()
+            except ValueError:
+                return "caught"
 
-        sched_clock = SimClock()
-        scheduler = Scheduler(sched_clock)
-        handle = scheduler.spawn(session(sched_clock))
+        scheduler = Scheduler(SimClock())
+        handle = scheduler.spawn(session())
         scheduler.run()
-        assert handle.result == sync_result == 3.0
-        assert sync_clock.now == sched_clock.now
+        assert handle.state == Session.DONE and handle.result == "caught"
+
+    def test_unknown_yield_rejected(self):
+        def session():
+            yield object()
+
+        scheduler = Scheduler(SimClock())
+        handle = scheduler.spawn(session(), name="odd")
+        scheduler.run()
+        assert handle.state == Session.FAILED
+        assert isinstance(handle.error, SchedulerError)
+        assert "odd" in str(handle.error)
 
 
 class TestTimeLedger:

@@ -335,3 +335,13 @@ class TestScenario:
             main(["scenario", "--migrate", "home:guest"])  # no app
         with pytest.raises(SystemExit):
             main(["scenario", "--migrate", "home:guest:bubble@soon"])
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    @pytest.mark.parametrize("bad", ["abc", "0", "-3"])
+    def test_bad_workers_exit_2_with_the_reason(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--workers={bad}"])
+        assert exc.value.code == 2
+        assert "'auto' or an integer >= 1" in capsys.readouterr().err
